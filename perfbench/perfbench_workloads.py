@@ -29,6 +29,8 @@ from repro.fleet.simulate import FleetSimulation
 from repro.runtime.cache import ResultCache
 from repro.runtime.runner import ExperimentRunner
 
+#: Input sizes: the benchmark's own, and the smoke test's.
+SIZES = ("full", "tiny")
 #: Simulated seconds per experiment (measured window, warm-up) at full size
 #: and at the smoke test's tiny size.
 FIG8_SIZE = {"full": (1.0, 0.2), "tiny": (0.2, 0.1)}
@@ -107,7 +109,6 @@ class Fig8Direct:
 
     name = "fig8-direct"
     runs_des = True
-    modules = ("repro.experiments.comparison", "repro.experiments.single_machine")
 
     def __init__(self, seed: int, size: str) -> None:
         self.seed = seed
@@ -169,7 +170,6 @@ class DiskThrottle:
 
     name = "disk-throttle"
     runs_des = True
-    modules = ("repro.experiments.scenarios", "repro.experiments.single_machine")
 
     def __init__(self, seed: int, size: str) -> None:
         self.seed = seed
@@ -243,7 +243,6 @@ class FleetHyperscale:
 
     name = "fleet-hyperscale"
     runs_des = False
-    modules = ("repro.fleet.simulate", "repro.fleet.scenarios", "repro.runtime.runner")
 
     def __init__(self, seed: int, size: str, workers: int, scratch: Path) -> None:
         self.seed = seed

@@ -24,35 +24,30 @@ import platform
 import resource
 import shutil
 import statistics
-import subprocess
 import sys
 import tempfile
 import time
 from pathlib import Path
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 
-#: Fresh-interpreter imports timed per run (their median is part of set-up).
-IMPORT_SAMPLES = 3
 #: At least this many repetitions, whatever ``--seconds`` says.
 MIN_REPS = 3
 #: Runner workers for the fleet workload (never more than the host has).
 MAX_WORKERS = 2
-#: Turns of the reference loop in one reference slice.
+#: Turns of the reference loop that measures ``host_ref_ops_per_s``.
 REFERENCE_LOOPS = 150_000
-#: Reference-loop speed (turns per second) that defines one reference second.
-REFERENCE_SPEED = 1_000_000.0
+#: Expected output digests, by workload, input size and seed.
+DIGESTS = Path(__file__).resolve().parent / "digests.json"
 
 
-# ---------------------------------------------------------------- reference
-def reference_slice() -> Tuple[float, float]:
-    """Host (wall, CPU) seconds for one slice of a fixed pure-Python heap/dict loop."""
+def reference_seconds() -> float:
+    """Host seconds for a fixed pure-Python heap/dict loop (host context only)."""
     heap: List[tuple] = []
     table: Dict[int, int] = {}
     total = 0
-    cpu = time.process_time()
     start = time.perf_counter()
     for i in range(REFERENCE_LOOPS):
         heapq.heappush(heap, ((i * 7919) % 1009, i))
@@ -60,17 +55,7 @@ def reference_slice() -> Tuple[float, float]:
         total += table.get((i >> 1) & 1023, 0)
         if len(heap) > 64:
             heapq.heappop(heap)
-    return time.perf_counter() - start, time.process_time() - cpu
-
-
-def scale(before: Tuple[float, float], after: Tuple[float, float], index: int) -> float:
-    """Reference seconds per host second between two slices.
-
-    ``index`` 0 uses the slices' wall times (for wall-clock figures), 1 their
-    CPU times (for CPU-time figures).
-    """
-    speed = 2 * REFERENCE_LOOPS / (before[index] + after[index])
-    return speed / REFERENCE_SPEED
+    return time.perf_counter() - start
 
 
 def host_fingerprint() -> Dict[str, Any]:
@@ -83,14 +68,13 @@ def host_fingerprint() -> Dict[str, Any]:
                     break
     except OSError:
         pass
-    best = min(reference_slice()[0] for _ in range(3))
     return {
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),
         "platform": platform.platform(),
         "cpu_model": cpu_model,
         "nproc": os.cpu_count() or 1,
-        "host_ref_ops_per_s": REFERENCE_LOOPS / best,
+        "host_ref_ops_per_s": REFERENCE_LOOPS / min(reference_seconds() for _ in range(3)),
     }
 
 
@@ -107,66 +91,47 @@ def _peak_rss_mb() -> float:
     return kib / 1024.0 if sys.platform.startswith("linux") else kib / (1024.0 * 1024.0)
 
 
-def import_seconds(modules) -> List[float]:
-    """Times of a new interpreter importing ``modules`` from ``src``, in reference seconds."""
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    command = [sys.executable, "-c", "import " + ", ".join(modules)]
-    samples = []
-    before = reference_slice()
-    for _ in range(IMPORT_SAMPLES):
-        start = time.perf_counter()
-        subprocess.run(command, cwd=ROOT, env=env, check=True)
-        host = time.perf_counter() - start
-        after = reference_slice()
-        samples.append(host * scale(before, after, 0))
-        before = after
-    return samples
-
-
 def repetition(workload, setup_tracer=None, timed_tracer=None) -> Dict[str, Any]:
-    """One set-up plus one timed pass, with times in reference seconds.
+    """One set-up plus one timed pass, in host seconds.
 
     Garbage left by the previous repetition is collected first, so each one
-    starts from a clean heap as a fresh process would.  Reference slices run
-    before the set-up, between set-up and timed pass, and after it; each
-    part is scaled by the reference speed measured on its two sides.
-    Tracers, when given, wrap the set-up and the timed pass.
+    starts from a clean heap as a fresh process would.  Tracers, when given,
+    wrap the set-up and the timed pass.
     """
     gc.collect()
-    first = reference_slice()
     start = time.perf_counter()
     with setup_tracer or contextlib.nullcontext():
         state = workload.setup()
     setup_s = time.perf_counter() - start
     try:
-        middle = reference_slice()
         cpu = _cpu_seconds()
         start = time.perf_counter()
         with timed_tracer or contextlib.nullcontext():
             timed = workload.timed(state)
         wall_s = time.perf_counter() - start
         cpu_s = _cpu_seconds() - cpu
-        last = reference_slice()
     finally:
         workload.teardown(state)
-    setup_scale, wall_scale = scale(first, middle, 0), scale(middle, last, 0)
-    return {
-        "setup_s": setup_s * setup_scale,
-        "wall_s": wall_s * wall_scale,
-        "cpu_s": cpu_s * scale(middle, last, 1),
-        "setup_scale": setup_scale,
-        "wall_scale": wall_scale,
-        "host_wall_s": wall_s,
-        "timed": timed,
-    }
+    return {"setup_s": setup_s, "wall_s": wall_s, "cpu_s": cpu_s, "timed": timed}
 
 
 # ----------------------------------------------------------------- checking
-class OutputCheck:
-    """Every repetition's outputs must hold the invariants and match the first digest."""
+def expected_digest(workload: str, size: str, seed: int):
+    """The committed output digest for this run, or ``None`` for an unrecorded seed."""
+    with open(DIGESTS, encoding="utf-8") as handle:
+        return json.load(handle).get(workload, {}).get(size, {}).get(str(seed))
 
-    def __init__(self, digest_fn) -> None:
+
+class OutputCheck:
+    """Every repetition's outputs must hold the invariants and match the expected digest.
+
+    The expected digest is the committed one for the run's workload, size and
+    seed; for a seed with none committed, it is the run's first digest.
+    """
+
+    def __init__(self, digest_fn, expected=None) -> None:
         self._digest = digest_fn
+        self.expected = expected
         self.reference = None
         self.attempted = 0
         self.failures: List[str] = []
@@ -179,8 +144,9 @@ class OutputCheck:
         digest = self._digest(timed.outputs)
         if self.reference is None:
             self.reference = digest
-        elif digest != self.reference:
-            self.fail(label, f"output digest {digest[:12]} differs from {self.reference[:12]}")
+        expected = self.expected or self.reference
+        if digest != expected:
+            self.fail(label, f"output digest {digest[:12]} differs from {expected[:12]}")
 
     def fail(self, label: str, problem: str) -> None:
         self._failed_labels.add(label)
@@ -194,7 +160,6 @@ class OutputCheck:
 # ------------------------------------------------------------------ running
 def run_untraced(workload, seconds: float, check: OutputCheck) -> Dict[str, Any]:
     """Repetitions until ``--seconds`` is used, reported as medians."""
-    imports = import_seconds(workload.modules)
     reps: List[Dict[str, Any]] = []
     took: List[float] = []
     deadline = time.perf_counter() + seconds
@@ -206,20 +171,12 @@ def run_untraced(workload, seconds: float, check: OutputCheck) -> Dict[str, Any]
         reps.append(rep)
         if len(reps) >= MIN_REPS and time.perf_counter() + statistics.median(took) > deadline:
             break
-    samples = {
-        name: [rep[name] for rep in reps]
-        for name in ("wall_s", "cpu_s", "setup_s", "host_wall_s", "wall_scale")
-    }
-    samples["import_s"] = imports
-    metrics = {
-        "wall_s": statistics.median(samples["wall_s"]),
-        "cpu_s": statistics.median(samples["cpu_s"]),
-        "setup_s": statistics.median(imports) + statistics.median(samples["setup_s"]),
-        "peak_rss_mb": _peak_rss_mb(),
-        "events_per_s": statistics.median(
-            rep["timed"].events / rep["wall_s"] for rep in reps
-        ),
-    }
+    samples = {name: [rep[name] for rep in reps] for name in ("wall_s", "cpu_s", "setup_s")}
+    metrics = {name: statistics.median(values) for name, values in samples.items()}
+    metrics["peak_rss_mb"] = _peak_rss_mb()
+    metrics["events_per_s"] = statistics.median(
+        rep["timed"].events / rep["wall_s"] for rep in reps
+    )
     metrics.update(reps[0]["timed"].sim)
     return {"metrics": metrics, "samples": samples}
 
@@ -237,13 +194,8 @@ def run_traced(workload, check: OutputCheck) -> Dict[str, Any]:
         setup_tracer, timed_tracer = LayerTracer(), LayerTracer()
         rep = repetition(workload, setup_tracer, timed_tracer)
         check(rep["timed"], f"traced rep {index}")
-        values = {
-            name: value * rep["wall_scale"] if name in TIME_METRICS else value
-            for name, value in timed_tracer.metrics().items()
-        }
-        values["fleet.calibrate_s"] = (
-            setup_tracer.metrics()["fleet.calibrate_s"] * rep["setup_scale"]
-        )
+        values = timed_tracer.metrics()
+        values["fleet.calibrate_s"] = setup_tracer.metrics()["fleet.calibrate_s"]
         if workload.runs_des and values["simulation.events"] != rep["timed"].events:
             check.fail(
                 f"traced rep {index}",
@@ -306,7 +258,9 @@ def main(argv=None) -> int:
     scratch = Path(tempfile.mkdtemp(prefix=".perfbench-", dir=ROOT))
     try:
         workload = perfbench_workloads.make(args.workload, args.seed, args.size, workers, scratch)
-        check = OutputCheck(perfbench_workloads.digest)
+        check = OutputCheck(
+            perfbench_workloads.digest, expected_digest(args.workload, args.size, args.seed)
+        )
         if args.trace:
             outcome = run_traced(workload, check)
         else:
@@ -327,6 +281,7 @@ def main(argv=None) -> int:
         "input_size": workload.input_size(),
         "host": host,
         "digest": check.reference,
+        "expected_digest": check.expected,
         "error_rate": failed / check.attempted,
         "failures": check.failures,
         "samples": outcome["samples"],

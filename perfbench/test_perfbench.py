@@ -50,6 +50,9 @@ def test_tiny_run_prints_every_declared_metric(workload, trace):
     assert result["correct"] is True, detail["failures"]
     assert result["failed"] == 0 and result["attempted"] >= 3
     assert detail["error_rate"] == 0.0
+    # The committed digest for this seed exists and matched.
+    assert detail["expected_digest"] is not None
+    assert detail["digest"] == detail["expected_digest"]
     assert set(detail["host"]) >= {"python", "platform", "cpu_model", "nproc",
                                     "host_ref_ops_per_s"}
     declared = DECLARED["per_layer" if trace == "1" else "end_to_end"]
@@ -78,6 +81,20 @@ def test_output_check_counts_digest_mismatches_and_problems():
     check(timed({"p99_ms": 1.0000000001}), "rep 2")
     check(timed({"p99_ms": 1.0}, ["no completed queries"]), "rep 3")
     assert check.attempted == 4 and check.failed == 2
+
+    # Against a committed digest, a run whose repetitions agree can still fail.
+    drifted = OutputCheck(perfbench_workloads.digest,
+                          expected=perfbench_workloads.digest({"p99_ms": 1.0}))
+    drifted(timed({"p99_ms": 2.0}), "rep 0")
+    drifted(timed({"p99_ms": 2.0}), "rep 1")
+    assert drifted.attempted == 2 and drifted.failed == 2
+
+
+def test_digests_are_committed_for_every_workload_size_and_seed():
+    table = json.loads((HERE / "digests.json").read_text(encoding="utf-8"))
+    for name in perfbench_workloads.NAMES:
+        for size in perfbench_workloads.SIZES:
+            assert set(table[name][size]) >= {str(seed) for seed in range(64)}
 
 
 def test_workload_checks_flag_bad_outputs(tmp_path):
