@@ -20,7 +20,7 @@ import json
 import os
 import time
 
-from repro.experiments.reporting import rows_to_json
+from repro.reporting.rows import rows_to_json
 from repro.fleet.scenarios import default_fleet_spec, fleet_hyperscale
 from repro.fleet.simulate import FleetSimulation
 from repro.runtime import ExperimentRunner, ResultCache

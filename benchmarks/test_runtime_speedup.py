@@ -4,8 +4,8 @@ Times the Figure 8 comparison harness (all five scenarios) three ways —
 serial without caching (the pre-runtime behaviour), fanned across all cores,
 and re-run against a warm cache — and records the results in
 ``BENCH_runtime.json`` at the repository root.  Also verifies that a cached
-re-calibration of the Figure 10 production model skips every duplicate
-single-machine simulation.
+re-run of the Figure 10 production harness skips every duplicate
+single-machine calibration run.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import time
 
 from conftest import DURATION, SEED, WARMUP
 
-from repro.cluster.largescale import ProductionClusterSimulation
 from repro.experiments import figures
 from repro.runtime import ExperimentRunner, ResultCache
 
@@ -61,32 +60,26 @@ def test_runtime_speedup_and_cache():
     # on contended shared runners.
     assert speedup_cached >= 2.0
 
-    # Figure 10 calibration: a second calibration (fresh instance, shared
-    # cache) must skip every duplicate single-machine simulation.
+    # Figure 10 calibration: a second run (shared cache) must skip every
+    # duplicate single-machine simulation.
     calibration_cache = ResultCache()
     calibration_runner = ExperimentRunner(max_workers=cores, cache=calibration_cache)
 
     def _calibrate():
-        simulation = ProductionClusterSimulation(
-            calibration_qps=(1200.0, 2400.0),
-            calibration_duration=1.0,
-            calibration_warmup=0.2,
-            seed=SEED,
+        # A single time bucket, so the run is almost all calibration.
+        start = time.perf_counter()
+        figure = figures.fig10_production(
+            duration=60.0, bucket=60.0, calibration_duration=1.0, seed=SEED,
             runner=calibration_runner,
         )
-        start = time.perf_counter()
-        points = simulation.calibrate()
-        return time.perf_counter() - start, points
+        return time.perf_counter() - start, figure
 
-    cold_calibration_seconds, cold_points = _calibrate()
+    cold_calibration_seconds, cold_figure = _calibrate()
     stores_after_calibration = calibration_cache.stores
-    warm_calibration_seconds, warm_points = _calibrate()
+    assert stores_after_calibration == len(figures.FIG10_CALIBRATION_QPS)
+    warm_calibration_seconds, warm_figure = _calibrate()
     assert calibration_cache.stores == stores_after_calibration
-    assert len(warm_points) == len(cold_points)
-    assert all(
-        (w.latency_samples == c.latency_samples).all()
-        for w, c in zip(warm_points, cold_points)
-    )
+    assert warm_figure.rows == cold_figure.rows
     assert warm_calibration_seconds < cold_calibration_seconds
 
     record = {

@@ -25,7 +25,7 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.config.schema import IndexServeSpec
-from repro.core.profiling import BufferCoreProfiler
+from repro.telemetry.profiling import BufferCoreProfiler
 from repro.experiments import scenarios
 from repro.experiments.reporting import print_figure
 from repro.experiments.single_machine import SingleMachineExperiment

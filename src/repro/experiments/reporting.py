@@ -7,10 +7,11 @@ identical, diff-friendly output.
 
 from __future__ import annotations
 
-import warnings
-from typing import Dict, Iterable, List, Mapping, Sequence, Union
+from typing import Iterable, List, Mapping, Sequence, Union
 
-__all__ = ["format_table", "format_figure", "print_figure", "rows_to_csv", "rows_to_json"]
+from ..reporting.rows import all_columns
+
+__all__ = ["format_table", "format_figure", "print_figure"]
 
 Number = Union[int, float]
 Row = Mapping[str, Union[str, Number]]
@@ -37,7 +38,7 @@ def format_table(rows: Sequence[Row], columns: Sequence[str] = None) -> str:
     if not rows:
         return "(no rows)"
     if columns is None:
-        columns = _all_columns(rows)
+        columns = all_columns(rows)
     rendered: List[List[str]] = [[str(c) for c in columns]]
     for row in rows:
         rendered.append([_format_value(row.get(column, "")) for column in columns])
@@ -65,54 +66,3 @@ def print_figure(title: str, rows: Sequence[Row], columns: Sequence[str] = None,
     """Print a figure table (used by the benchmark harness)."""
     print()
     print(format_figure(title, rows, columns, notes))
-
-
-def rows_from_dicts(dicts: Sequence[Dict[str, Number]], label_key: str = "label") -> List[Row]:
-    """Helper for turning keyed summaries into printable rows."""
-    return [dict(d) for d in dicts]
-
-
-def _all_columns(rows: Sequence[Row]) -> List[str]:
-    """Union of row keys, in first-appearance order (rows may be ragged)."""
-    columns: List[str] = []
-    for row in rows:
-        for key in row:
-            if key not in columns:
-                columns.append(key)
-    return columns
-
-
-def rows_to_csv(rows: Sequence[Row], columns: Sequence[str] = None) -> str:
-    """Deprecated alias of :func:`repro.reporting.rows.rows_to_csv`.
-
-    The renderings moved to :mod:`repro.reporting.rows` so the CLIs, the
-    bundle writer and this legacy import all share one byte-level
-    implementation.  This shim delegates (output is byte-identical) and will
-    be removed in a future release.
-    """
-    warnings.warn(
-        "repro.experiments.reporting.rows_to_csv moved to "
-        "repro.reporting.rows.rows_to_csv",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from ..reporting.rows import rows_to_csv as _rows_to_csv
-
-    return _rows_to_csv(rows, columns=columns)
-
-
-def rows_to_json(rows: Sequence[Row], indent: int = 2) -> str:
-    """Deprecated alias of :func:`repro.reporting.rows.rows_to_json`.
-
-    Delegates to the shared renderer (output is byte-identical) and will be
-    removed in a future release.
-    """
-    warnings.warn(
-        "repro.experiments.reporting.rows_to_json moved to "
-        "repro.reporting.rows.rows_to_json",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from ..reporting.rows import rows_to_json as _rows_to_json
-
-    return _rows_to_json(rows, indent=indent)

@@ -1,11 +1,11 @@
 """The fleet model: machine groups, diurnal load and per-group calibration.
 
-A fleet of thousands of machines cannot be event-simulated directly, so the
-model follows the ``largescale`` recipe one level up: every *distinct group
-configuration* is calibrated once with the detailed single-machine simulator
-(through the shared experiment runner, so repeated calibrations are cache
-hits), and per-machine behaviour is then drawn from the calibrated latency
-distributions by inverse-CDF sampling.
+A fleet of thousands of machines cannot be event-simulated directly, so every
+*distinct group configuration* is calibrated once with the detailed
+single-machine simulator (through the shared experiment runner, so repeated
+calibrations are cache hits), and per-machine behaviour is then drawn from
+the calibrated latency distributions by inverse-CDF sampling.  Figure 10's
+650-machine production cluster is this same recipe applied to one group.
 
 Calibration is captured in compact, hashable form — quantile curves and CPU
 fractions per load point — because shard tasks carry it into worker
@@ -18,7 +18,7 @@ import dataclasses
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -43,6 +43,7 @@ __all__ = [
     "QUANTILE_GRID_MAX",
     "quantile_grid",
     "ModeCalibration",
+    "mode_calibration",
     "GroupCalibration",
     "FleetModel",
     "stable_seed",
@@ -100,6 +101,36 @@ class ModeCalibration:
     secondary_cpu: Tuple[float, ...]
     #: Secondary progress units per simulated second.
     progress_per_s: Tuple[float, ...]
+
+
+def mode_calibration(
+    qps: Sequence[float], outcomes: Sequence, duration: float, label: str = "calibration"
+) -> ModeCalibration:
+    """Reduce one mode's calibration runs (one runner outcome per load point
+    in ``qps``, each simulated for ``duration`` seconds) to its compact form."""
+    grid = quantile_grid()
+    rows = []
+    for point, outcome in zip(qps, outcomes):
+        samples = outcome.latency_samples
+        if samples.size == 0:
+            raise ExperimentError(
+                f"{label} at {point:g} QPS produced no latency samples; "
+                "increase calibration_duration or load"
+            )
+        cpu = outcome.result.cpu
+        rows.append((
+            tuple(float(v) for v in np.quantile(samples, grid)),
+            cpu.primary + cpu.secondary + cpu.os,
+            cpu.secondary,
+            outcome.result.secondary_progress / duration,
+        ))
+    return ModeCalibration(
+        qps=tuple(qps),
+        quantiles=tuple(row[0] for row in rows),
+        busy_cpu=tuple(row[1] for row in rows),
+        secondary_cpu=tuple(row[2] for row in rows),
+        progress_per_s=tuple(row[3] for row in rows),
+    )
 
 
 @dataclass(frozen=True)
@@ -337,51 +368,35 @@ class FleetModel:
         """
         from ..runtime.runner import ExperimentTask
 
-        grid = quantile_grid()
-        tasks: List[ExperimentTask] = []
-        labels: List[Tuple[str, str, int]] = []
-        for group in self._spec.groups:
-            for mode in (BASELINE, COLOCATED):
-                for point_index in range(len(self._spec.calibration_qps)):
-                    tasks.append(
-                        ExperimentTask(
-                            self.calibration_spec(group, mode, point_index),
-                            scenario=f"fleet-calibration/{group.name}/{mode}",
-                        )
-                    )
-                    labels.append((group.name, mode, point_index))
-
-        measured: Dict[Tuple[str, str, int], Tuple] = {}
-        for label, outcome in zip(labels, runner.run_batch(tasks)):
-            samples = outcome.latency_samples
-            if samples.size == 0:
-                raise ExperimentError(
-                    f"fleet calibration {label} produced no latency samples; "
-                    "increase calibration_duration or load"
-                )
-            quantile_curve = tuple(float(v) for v in np.quantile(samples, grid))
-            cpu = outcome.result.cpu
-            busy = cpu.primary + cpu.secondary + cpu.os
-            progress = outcome.result.secondary_progress / self._spec.calibration_duration
-            measured[label] = (quantile_curve, busy, cpu.secondary, progress)
-
-        calibrations: Dict[str, GroupCalibration] = {}
-        for group in self._spec.groups:
-            modes = {}
-            for mode in (BASELINE, COLOCATED):
-                points = range(len(self._spec.calibration_qps))
-                rows = [measured[(group.name, mode, index)] for index in points]
-                modes[mode] = ModeCalibration(
-                    qps=tuple(self._spec.calibration_qps),
-                    quantiles=tuple(row[0] for row in rows),
-                    busy_cpu=tuple(row[1] for row in rows),
-                    secondary_cpu=tuple(row[2] for row in rows),
-                    progress_per_s=tuple(row[3] for row in rows),
-                )
-            calibrations[group.name] = GroupCalibration(
+        spec = self._spec
+        points = len(spec.calibration_qps)
+        labels = [
+            (group, mode) for group in spec.groups for mode in (BASELINE, COLOCATED)
+        ]
+        tasks = [
+            ExperimentTask(
+                self.calibration_spec(group, mode, point_index),
+                scenario=f"fleet-calibration/{group.name}/{mode}",
+            )
+            for group, mode in labels
+            for point_index in range(points)
+        ]
+        outcomes = runner.run_batch(tasks)
+        modes = {
+            (group.name, mode): mode_calibration(
+                spec.calibration_qps,
+                outcomes[index * points:(index + 1) * points],
+                spec.calibration_duration,
+                label=f"fleet calibration {group.name}/{mode}",
+            )
+            for index, (group, mode) in enumerate(labels)
+        }
+        return {
+            group.name: GroupCalibration(
                 group=group.name,
                 logical_cores=group.machine.logical_cores,
-                baseline=modes[BASELINE],
-                colocated=modes[COLOCATED],
+                baseline=modes[(group.name, BASELINE)],
+                colocated=modes[(group.name, COLOCATED)],
             )
-        return calibrations
+            for group in spec.groups
+        }

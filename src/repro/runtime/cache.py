@@ -3,7 +3,7 @@
 Every entry is keyed by the :func:`repro.runtime.spec_hash.spec_hash` of the
 configuration that produced it.  Because experiments are deterministic per
 seed, a hit is bit-identical to a recomputation, so the figure harnesses and
-``ProductionClusterSimulation.calibrate()`` can share single-machine runs
+:meth:`repro.fleet.model.FleetModel.calibrate` can share single-machine runs
 instead of re-simulating them.
 
 Two storage layers:

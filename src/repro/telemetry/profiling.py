@@ -1,15 +1,9 @@
 """The one profiling entry point (host-side and simulation-side).
 
-Two profilers historically lived in different packages and are consolidated
-here under the telemetry umbrella:
-
 * :func:`run_profiled` — the ``--profile PATH`` cProfile wrapper shared by
-  the matrix and fleet command lines (formerly ``repro.runtime.profiling``);
+  the matrix and fleet command lines;
 * :class:`BufferCoreProfiler` — the offline Section 4.1 burst profiler that
-  recommends a buffer-core count from the primary's ready-thread burstiness
-  (formerly ``repro.core.profiling``).
-
-The old module paths remain importable as thin re-export shims.
+  recommends a buffer-core count from the primary's ready-thread burstiness.
 """
 
 from __future__ import annotations

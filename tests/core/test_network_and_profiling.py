@@ -4,7 +4,7 @@ import pytest
 
 from repro.config.schema import IndexServeSpec, NetworkThrottleSpec
 from repro.core.network_throttle import NetworkThrottle
-from repro.core.profiling import BufferCoreProfiler
+from repro.telemetry.profiling import BufferCoreProfiler
 from repro.errors import IsolationError
 from repro.hostos.process import TenantCategory
 from repro.units import MB

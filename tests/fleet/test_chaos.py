@@ -21,7 +21,7 @@ from repro.config.schema import (
 )
 from repro.config.validation import validate_fleet
 from repro.errors import ConfigError
-from repro.experiments.reporting import rows_to_json
+from repro.reporting.rows import rows_to_json
 from repro.fleet.scenarios import fleet_chaos_rollout
 from repro.fleet.simulate import FleetSimulation
 from repro.runtime import ExperimentRunner, ResultCache

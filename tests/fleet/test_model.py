@@ -1,18 +1,22 @@
 """Tests for the fleet model: specs, load curves, sharding and calibration."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.config.schema import FleetSpec, MachineGroupSpec, PlacementSpec, RolloutSpec
 from repro.config.validation import validate_fleet
-from repro.errors import ConfigError
+from repro.errors import ConfigError, ExperimentError
 from repro.fleet.model import (
     QUANTILE_POINTS,
     FleetModel,
     interpolate_mode,
+    mode_calibration,
     stable_seed,
 )
 from repro.fleet.scenarios import default_groups, stage_fractions
+from repro.runtime import ExperimentTask
 
 from fleet_testing import make_tiny_fleet_spec
 
@@ -219,6 +223,17 @@ class TestCalibration:
         expected = (np.asarray(mode.quantiles[0]) + np.asarray(mode.quantiles[1])) / 2.0
         assert np.allclose(mid, expected)
         assert min(mode.busy_cpu) <= busy <= max(mode.busy_cpu)
+
+    def test_mode_calibration_rejects_an_empty_run(self, fleet_runner, tiny_fleet_spec):
+        model = FleetModel(tiny_fleet_spec)
+        group = tiny_fleet_spec.groups[0]
+        outcome = fleet_runner.run_batch(
+            [ExperimentTask(model.calibration_spec(group, "colocated", 0))]
+        )[0]
+        empty = dataclasses.replace(outcome, latency_samples=np.empty(0))
+        qps = tiny_fleet_spec.calibration_qps
+        with pytest.raises(ExperimentError, match="no latency samples"):
+            mode_calibration(qps, [outcome, empty], tiny_fleet_spec.calibration_duration)
 
     def test_second_calibration_is_fully_cached(self, fleet_runner, tiny_fleet_spec):
         model = FleetModel(tiny_fleet_spec)

@@ -10,7 +10,7 @@ from repro.config.schema import (
     RolloutSpec,
 )
 from repro.experiments import matrix
-from repro.experiments.reporting import rows_to_json
+from repro.reporting.rows import rows_to_json
 from repro.fleet.model import (
     ModeCalibration,
     interpolate_mode,

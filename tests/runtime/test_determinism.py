@@ -78,6 +78,15 @@ class TestRunDeterminism:
         )
         assert serial.rows == parallel.rows
 
+        fig10 = dict(duration=1200.0, bucket=400.0, calibration_duration=0.3, seed=11)
+        serial = figures.fig10_production(
+            runner=ExperimentRunner(max_workers=1, cache=ResultCache()), **fig10
+        )
+        parallel = figures.fig10_production(
+            runner=ExperimentRunner(max_workers=4, cache=ResultCache()), **fig10
+        )
+        assert serial.rows == parallel.rows
+
 class TestTraceDrivenDeterminism:
     """Trace-driven arrival models keep the worker-count guarantee.
 
