@@ -1217,10 +1217,12 @@ class PlacementSpec:
             )
         if self.job_cores is not None and any(cores < 1 for cores in self.job_cores):
             raise ConfigError("every placement job must demand at least one core")
+        if self.job_cores is not None and any(cores % 1 for cores in self.job_cores):
+            raise ConfigError("every placement job must demand whole cores")
         if not 0.0 < self.demand_fraction <= 1.0:
             raise ConfigError("demand_fraction must be in (0, 1]")
-        if self.job_cores_each < 1:
-            raise ConfigError("job_cores_each must be >= 1")
+        if self.job_cores_each < 1 or self.job_cores_each % 1:
+            raise ConfigError("job_cores_each must be a whole number >= 1")
 
 
 @dataclass(frozen=True)

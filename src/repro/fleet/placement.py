@@ -18,11 +18,15 @@ input sequences yields the identical plan.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import groupby, repeat
+from operator import attrgetter
 from typing import Dict, List, Sequence, Tuple
 
 from ..config.schema import PlacementSpec
 from ..errors import ConfigError
+from ..gcpause import gc_suspended
 
 __all__ = [
     "MachineCapacity",
@@ -45,11 +49,13 @@ class MachineCapacity:
             raise ConfigError("machine name must be non-empty")
         if self.cores < 0:
             raise ConfigError(f"machine {self.machine!r} capacity must be >= 0")
+        if self.cores % 1:
+            raise ConfigError(f"machine {self.machine!r} capacity must be whole cores")
 
 
 @dataclass(frozen=True)
 class PlacementDemand:
-    """One batch job waiting for placement."""
+    """One batch job waiting for placement, sized in whole cores."""
 
     name: str
     cores: int
@@ -59,6 +65,8 @@ class PlacementDemand:
             raise ConfigError("placement demand name must be non-empty")
         if self.cores < 1:
             raise ConfigError(f"job {self.name!r} must demand at least one core")
+        if self.cores % 1:
+            raise ConfigError(f"job {self.name!r} must demand whole cores")
 
 
 @dataclass(frozen=True)
@@ -92,20 +100,87 @@ class PlacementPlan:
         return placed
 
 
-def _canonical_demands(demands: Sequence[PlacementDemand]) -> List[PlacementDemand]:
-    names = [demand.name for demand in demands]
+_NAME = attrgetter("name")
+_CORES = attrgetter("cores")
+_MACHINE = attrgetter("machine")
+
+
+def _check_unique(names: List[str], what: str) -> None:
     if len(set(names)) != len(names):
-        duplicates = sorted({name for name in names if names.count(name) > 1})
-        raise ConfigError(f"placement job names must be unique, duplicated: {duplicates}")
-    return sorted(demands, key=lambda demand: (-demand.cores, demand.name))
+        duplicates = sorted(name for name, count in Counter(names).items() if count > 1)
+        raise ConfigError(f"{what} must be unique, duplicated: {duplicates}")
+
+
+def _canonical_demands(demands: Sequence[PlacementDemand]) -> List[PlacementDemand]:
+    _check_unique(list(map(_NAME, demands)), "placement job names")
+    # Two stable sorts: decreasing size, equal sizes in name order.
+    return sorted(sorted(demands, key=_NAME), key=_CORES, reverse=True)
 
 
 def _canonical_machines(machines: Sequence[MachineCapacity]) -> List[MachineCapacity]:
-    names = [machine.machine for machine in machines]
-    if len(set(names)) != len(names):
-        duplicates = sorted({name for name in names if names.count(name) > 1})
-        raise ConfigError(f"machine names must be unique, duplicated: {duplicates}")
-    return sorted(machines, key=lambda machine: machine.machine)
+    _check_unique(list(map(_MACHINE, machines)), "machine names")
+    return sorted(machines, key=_MACHINE)
+
+
+def _first_fit(
+    machines: List[MachineCapacity], demands: List[PlacementDemand]
+) -> Tuple[List[Assignment], List[PlacementDemand]]:
+    """First fit over canonically ordered inputs, one run of equal sizes at a time.
+
+    Within a run of equal-sized demands the first machine that fits only moves
+    forward (capacity only shrinks), so each machine takes as many of the
+    run's jobs as it can hold before the scan moves on.  A machine left below
+    the smallest demand (the last one: demands come in decreasing size) can
+    never host again; ``start`` skips that dead prefix.  The cost is
+    O(machines x distinct sizes + jobs).
+    """
+    names = list(map(_MACHINE, machines))
+    remaining = list(map(_CORES, machines))
+    smallest = demands[-1].cores if demands else 0
+    assignments: List[Assignment] = []
+    unplaced: List[PlacementDemand] = []
+    start = 0
+    for cores, group in groupby(demands, key=_CORES):
+        run = list(group)
+        while start < len(remaining) and remaining[start] < smallest:
+            start += 1
+        # The machine of each job of the run, in job order.
+        hosts: List[str] = []
+        for position in range(start, len(remaining)):
+            fits = min(remaining[position] // cores, len(run) - len(hosts))
+            if fits:
+                hosts.extend(repeat(names[position], int(fits)))
+                remaining[position] -= fits * cores
+                if len(hosts) == len(run):
+                    break
+        assignments.extend(map(Assignment, hosts, map(_NAME, run), map(_CORES, run)))
+        unplaced.extend(run[len(hosts) :])
+    return assignments, unplaced
+
+
+def _scored_fit(
+    machines: List[MachineCapacity], demands: List[PlacementDemand], strategy: str
+) -> Tuple[List[Assignment], List[PlacementDemand]]:
+    """Best or worst fit: per demand, scan every machine; ties keep the first."""
+    names = list(map(_MACHINE, machines))
+    remaining = list(map(_CORES, machines))
+    best = strategy == "best_fit"
+    assignments: List[Assignment] = []
+    unplaced: List[PlacementDemand] = []
+    for demand in demands:
+        cores = demand.cores
+        chosen = None
+        for position, left in enumerate(remaining):
+            if left < cores:
+                continue
+            if chosen is None or (left < remaining[chosen] if best else left > remaining[chosen]):
+                chosen = position
+        if chosen is None:
+            unplaced.append(demand)
+            continue
+        assignments.append(Assignment(names[chosen], demand.name, cores))
+        remaining[chosen] -= cores
+    return assignments, unplaced
 
 
 def plan_placement(
@@ -124,56 +199,12 @@ def plan_placement(
             f"placement strategy must be one of {PlacementSpec.VALID_STRATEGIES}, "
             f"got {strategy!r}"
         )
-    ordered_demands = _canonical_demands(demands)
-    ordered_machines = _canonical_machines(machines)
-
-    # ``active`` keeps (name, remaining) in canonical order.  Machines whose
-    # remaining capacity falls below the smallest *future* demand can never
-    # host anything again (demands are processed in decreasing size), so the
-    # first-fit scan drops them as it passes — the common homogeneous-job
-    # case then packs in near-linear time instead of O(jobs x machines).
-    active: List[List[object]] = [[m.machine, m.cores] for m in ordered_machines]
-    suffix_min = [0] * len(ordered_demands)
-    smallest = None
-    for index in range(len(ordered_demands) - 1, -1, -1):
-        cores = ordered_demands[index].cores
-        smallest = cores if smallest is None else min(smallest, cores)
-        suffix_min[index] = smallest
-
-    assignments: List[Assignment] = []
-    unplaced: List[PlacementDemand] = []
-    for index, demand in enumerate(ordered_demands):
-        floor = suffix_min[index]
-        chosen = None
+    # One Assignment per placed job, all reachable until the plan returns.
+    with gc_suspended():
+        ordered_demands = _canonical_demands(demands)
+        ordered_machines = _canonical_machines(machines)
         if strategy == "first_fit":
-            scan = 0
-            while scan < len(active):
-                name, remaining = active[scan]
-                if remaining < floor:
-                    active.pop(scan)
-                    continue
-                if remaining >= demand.cores:
-                    chosen = scan
-                    break
-                scan += 1
+            assignments, unplaced = _first_fit(ordered_machines, ordered_demands)
         else:
-            best_remaining = None
-            for position, (name, remaining) in enumerate(active):
-                if remaining < demand.cores:
-                    continue
-                better = (
-                    best_remaining is None
-                    or (strategy == "best_fit" and remaining < best_remaining)
-                    or (strategy == "worst_fit" and remaining > best_remaining)
-                )
-                if better:
-                    best_remaining = remaining
-                    chosen = position
-        if chosen is None:
-            unplaced.append(demand)
-            continue
-        slot = active[chosen]
-        assignments.append(Assignment(machine=slot[0], job=demand.name, cores=demand.cores))
-        slot[1] -= demand.cores
-
-    return PlacementPlan(assignments=tuple(assignments), unplaced=tuple(unplaced))
+            assignments, unplaced = _scored_fit(ordered_machines, ordered_demands, strategy)
+        return PlacementPlan(assignments=tuple(assignments), unplaced=tuple(unplaced))

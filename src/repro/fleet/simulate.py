@@ -321,10 +321,8 @@ def build_demands(spec: FleetSpec, calibrations: Dict[str, GroupCalibration]) ->
         )
         target = int(total_reclaimable * spec.placement.demand_fraction)
         sizes = (spec.placement.job_cores_each,) * (target // spec.placement.job_cores_each)
-    return [
-        PlacementDemand(name=f"batch-{index:06d}", cores=cores)
-        for index, cores in enumerate(sizes)
-    ]
+    names = [f"batch-{index:06d}" for index in range(len(sizes))]
+    return list(map(PlacementDemand, names, sizes))
 
 
 def sampled_positions(

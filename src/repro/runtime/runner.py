@@ -25,6 +25,7 @@ import multiprocessing
 import os
 import sys
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
@@ -236,7 +237,8 @@ class ExperimentRunner:
         # Fan values out to duplicate payloads, and hand out deep copies of
         # anything shared (cache entries or duplicated values) — no caller
         # may receive an aliased mutable result.
-        shared = {key for key in seen if use_cache or keys.count(key) > 1}
+        counts = Counter(keys)
+        shared = {key for key in seen if use_cache or counts[key] > 1}
         by_key = {
             keys[i]: results[i]
             for i in range(len(payloads))

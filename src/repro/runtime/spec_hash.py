@@ -11,15 +11,30 @@ JSON document — sorted keys, explicit type tags, exact float representation
 via ``repr`` — which is then SHA-256 digested.  Any configuration value that
 affects simulation output lives in the dataclasses, so the digest is a sound
 cache key for deterministic runs.
+
+The document is written directly as text, byte for byte what ``json.dumps``
+(``sort_keys=True``, compact separators) makes of the tagged tree:
+
+* scalars, tuples and lists are dispatched on their exact type first; only
+  subclasses, NumPy scalars, enums, frozensets and dicts take the
+  ``isinstance`` chain;
+* each dataclass's sorted field list is planned once per class;
+* the text of a frozen dataclass whose whole subtree is immutable is
+  memoised for the instance's lifetime, so a sub-spec shared by many specs
+  (the calibrations every fleet shard task carries) is encoded once, and
+  its digests are memoised alongside.  The memo lives in a module-level
+  table, never on the instance, so it adds nothing to pickles.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
-import json
+import weakref
 from enum import Enum
-from typing import Any
+from json.encoder import encode_basestring_ascii as _json_string
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -47,67 +62,153 @@ def versioned_namespace(tag: str) -> str:
     return f"{tag}/v{__version__}"
 
 
-def _encode(value: Any) -> Any:
-    """Convert a configuration value into a canonical JSON-serialisable form."""
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        fields = {
-            f.name: _encode(getattr(value, f.name))
-            for f in dataclasses.fields(value)
-            if not (
-                f.metadata.get(OMIT_IF_DEFAULT)
-                and f.default is not dataclasses.MISSING
-                and getattr(value, f.name) == f.default
-            )
-        }
-        return {"__dataclass__": type(value).__qualname__, "fields": fields}
+#: A dataclass's encoding plan: ``(prefix, fields, frozen)``, where
+#: ``prefix`` opens the encoded object, ``fields`` lists ``(name, key text,
+#: omit-if-equal default)`` sorted by name, and ``frozen`` is the class's
+#: frozen flag.
+_Plan = Tuple[str, Tuple[Tuple[str, str, Any], ...], bool]
+
+#: Default of a field that is always encoded.
+_ALWAYS = object()
+
+
+@functools.cache
+def _plan(cls: type) -> Optional[_Plan]:
+    """The encoding plan of a dataclass, ``None`` for any other class."""
+    if not hasattr(cls, "__dataclass_fields__"):
+        return None
+    fields = []
+    for f in sorted(dataclasses.fields(cls), key=lambda f: f.name):
+        omit = f.metadata.get(OMIT_IF_DEFAULT) and f.default is not dataclasses.MISSING
+        fields.append((f.name, _json_string(f.name) + ":", f.default if omit else _ALWAYS))
+    prefix = '{"__dataclass__":' + _json_string(cls.__qualname__) + ',"fields":{'
+    return prefix, tuple(fields), cls.__dataclass_params__.frozen
+
+
+class _Encoded(weakref.ref):
+    """The memoised text of one frozen dataclass instance, and its digests."""
+
+    __slots__ = ("key", "text", "digests")
+
+
+def _forget(entry: _Encoded) -> None:
+    if _ENCODED.get(entry.key) is entry:
+        del _ENCODED[entry.key]
+
+
+#: ``id(instance)`` -> its memo entry; an entry leaves with its instance.
+#: Keyed by identity, not equality: equal specs can encode differently
+#: (``1 == 1.0``) and need not be hashable.
+_ENCODED: Dict[int, _Encoded] = {}
+
+
+def _memoised(value: Any) -> Optional[_Encoded]:
+    entry = _ENCODED.get(id(value))
+    return entry if entry is not None and entry() is value else None
+
+
+def _remember(value: Any, text: str) -> None:
+    try:
+        entry = _Encoded(value, _forget)
+    except TypeError:
+        return  # a slotted class without __weakref__: no memo
+    entry.key = id(value)
+    entry.text = text
+    entry.digests = {}
+    _ENCODED[entry.key] = entry
+
+
+def _encode(value: Any, mutable: List[bool]) -> str:
+    """The canonical JSON text of one configuration value.
+
+    ``mutable[0]`` is set when the value holds a list, dict or non-frozen
+    dataclass, whose content may change after encoding; such a subtree is
+    never memoised.
+    """
+    cls = type(value)
+    if cls is float:
+        # repr round-trips doubles exactly; JSON's float formatting does not.
+        return '{"__float__":"' + repr(value) + '"}'
+    if cls is int:
+        return int.__repr__(value)
+    if cls is str:
+        return _json_string(value)
+    if cls is tuple:
+        return "[" + ",".join([_encode(item, mutable) for item in value]) + "]"
+    if value is None:
+        return "null"
+    if cls is bool:
+        return "true" if value else "false"
+    if cls is list:
+        mutable[0] = True
+        return "[" + ",".join([_encode(item, mutable) for item in value]) + "]"
+    plan = _plan(cls)
+    if plan is None:
+        return _encode_other(value, mutable)
+
+    prefix, fields, frozen = plan
+    if frozen:
+        entry = _memoised(value)
+        if entry is not None:
+            return entry.text
+        outer, mutable[0] = mutable[0], False
+    else:
+        mutable[0] = True
+    parts = []
+    for name, key, default in fields:
+        item = getattr(value, name)
+        if default is not _ALWAYS and item == default:
+            continue
+        parts.append(key + _encode(item, mutable))
+    text = prefix + ",".join(parts) + "}}"
+    if frozen:
+        if not mutable[0]:
+            _remember(value, text)
+        mutable[0] = mutable[0] or outer
+    return text
+
+
+def _encode_other(value: Any, mutable: List[bool]) -> str:
+    """Subclasses, NumPy scalars, enums, frozensets and dicts."""
     if isinstance(value, Enum):
-        return {"__enum__": type(value).__qualname__, "value": _encode(value.value)}
+        qualname = _json_string(type(value).__qualname__)
+        return '{"__enum__":' + qualname + ',"value":' + _encode(value.value, mutable) + "}"
     # NumPy scalars are normalised to their Python equivalents so that specs
     # built from numpy-driven sweeps (np.arange qps levels, np.int64 core
     # counts) hash identically to their plain-Python twins.
-    if isinstance(value, (bool, np.bool_)) or value is None:
-        return bool(value) if value is not None else None
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
     if isinstance(value, str):
-        return value
+        return _json_string(value)
     if isinstance(value, (int, np.integer)):
-        return int(value)
+        return int.__repr__(int(value))
     if isinstance(value, (float, np.floating)):
-        # repr round-trips doubles exactly; JSON's float formatting does not.
-        return {"__float__": repr(float(value))}
+        return '{"__float__":"' + repr(float(value)) + '"}'
     if isinstance(value, (list, tuple)):
-        return [_encode(item) for item in value]
+        if not isinstance(value, tuple):
+            mutable[0] = True
+        return "[" + ",".join([_encode(item, mutable) for item in value]) + "]"
     if isinstance(value, frozenset):
-        # Sort by each item's canonical JSON — encoded items may be dicts
-        # (floats, enums, dataclasses), which do not compare with ``<``.
-        return {"__frozenset__": sorted((_encode(item) for item in value), key=_sort_key)}
+        # Items are ordered by their canonical JSON — encoded items may be
+        # objects (floats, enums, dataclasses), which do not compare with ``<``.
+        items = sorted([_encode(item, mutable) for item in value])
+        return '{"__frozenset__":[' + ",".join(items) + "]}"
     if isinstance(value, dict):
         # Keys are encoded like any other value (so 1 and "1" stay distinct)
         # and entries are ordered by their canonical JSON.
-        entries = [[_encode(key), _encode(val)] for key, val in value.items()]
-        entries.sort(key=_sort_key)
-        return {"__dict__": entries}
-    raise TypeError(
-        f"cannot canonically encode {type(value).__name__!r} for spec hashing"
-    )
-
-
-def _sort_key(encoded: Any) -> str:
-    return json.dumps(encoded, sort_keys=True, separators=(",", ":"))
+        mutable[0] = True
+        entries = [
+            "[" + _encode(key, mutable) + "," + _encode(val, mutable) + "]"
+            for key, val in value.items()
+        ]
+        entries.sort()
+        return '{"__dict__":[' + ",".join(entries) + "]}"
+    raise TypeError(f"cannot canonically encode {type(value).__name__!r} for spec hashing")
 
 
 def canonical_encoding(spec: Any, namespace: str = "") -> str:
     """The canonical JSON document hashed by :func:`spec_hash`."""
-    return json.dumps(
-        {"namespace": namespace, "spec": _encode(spec)},
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-
-
-#: Attribute under which a dataclass spec memoises its digests (per
-#: namespace).  Not a dataclass field, so it is invisible to ``fields()``
-#: walks, equality and the canonical encoding itself.
-_MEMO_ATTR = "_repro_spec_hash_memo"
+    return '{"namespace":' + _json_string(namespace) + ',"spec":' + _encode(spec, [False]) + "}"
 
 
 def spec_hash(spec: Any, namespace: str = "") -> str:
@@ -117,29 +218,21 @@ def spec_hash(spec: Any, namespace: str = "") -> str:
     example single-machine experiments vs full cluster simulations) that might
     otherwise share a configuration dataclass.
 
-    Digests of dataclass specs are memoised on the instance: specs are frozen,
-    so a spec object hashes identically for its whole lifetime, and the cache
-    layer asks for the same digest on every lookup.  ``dataclasses.replace``
-    builds a new instance, so derived specs never inherit a stale memo.
+    Digests are memoised per namespace next to the encoding memo, so only
+    frozen, deeply immutable dataclass specs have them: such a spec hashes
+    identically for its whole lifetime, and the cache layer asks for the
+    same digest on every lookup.  Anything else is re-encoded on every call.
+    ``dataclasses.replace`` builds a new instance, so derived specs never
+    inherit a stale memo.
     """
-    memo = None
-    if dataclasses.is_dataclass(spec) and not isinstance(spec, type):
-        memo = getattr(spec, _MEMO_ATTR, None)
-        if memo is not None:
-            cached = memo.get(namespace)
-            if cached is not None:
-                return cached
-        else:
-            memo = {}
-            try:
-                # Frozen dataclasses block normal attribute assignment, not
-                # object.__setattr__; slotted specs (none today) just skip
-                # the memo.
-                object.__setattr__(spec, _MEMO_ATTR, memo)
-            except (AttributeError, TypeError):
-                memo = None
+    entry = _memoised(spec)
+    if entry is not None:
+        digest = entry.digests.get(namespace)
+        if digest is not None:
+            return digest
     encoded = canonical_encoding(spec, namespace=namespace).encode("utf-8")
     digest = hashlib.sha256(encoded).hexdigest()
-    if memo is not None:
-        memo[namespace] = digest
+    entry = _memoised(spec)  # the encoding above memoises a new spec
+    if entry is not None:
+        entry.digests[namespace] = digest
     return digest

@@ -23,11 +23,11 @@ Design notes
 
 from __future__ import annotations
 
-import gc
 import heapq
 from typing import Any, Callable, List, Optional
 
 from ..errors import SimulationError
+from ..gcpause import gc_suspended
 from .events import Event, EventPriority, EventQueue
 
 __all__ = ["ProbeSubscription", "SimulationEngine"]
@@ -216,76 +216,71 @@ class SimulationEngine:
         heappush = heapq.heappush
         # The loop allocates heavily (events, threads, closures) and keeps
         # everything reachable until it returns, so cyclic-GC passes during
-        # execution are pure overhead — suspend collection and restore the
-        # caller's setting on the way out (cycles are reclaimed then).
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
-        try:
-            while not self._stopped:
-                if max_events is not None and executed_this_run >= max_events:
-                    break
-                while heap and heap[0][3].cancelled:
-                    heappop(heap)[3].in_queue = False
-                if not heap:
-                    break
-                now = heap[0][0]
-                if until is not None and now > until:
-                    break
-                self._now = now
-                first = heappop(heap)
-                if not heap or heap[0][0] != now:
-                    # Singleton fast path: no same-timestamp companions, so
-                    # no batch bookkeeping (the overwhelmingly common case).
-                    event = first[3]
-                    event.in_queue = False
-                    queue._live -= 1
-                    event.callback(*event.args)
-                    self._events_executed += 1
-                    executed_this_run += 1
-                    continue
-                # Timer-coalescing fast path: pop the whole same-timestamp
-                # batch, then execute it in (priority, seq) order.
-                entries = [first]
-                while heap and heap[0][0] == now:
-                    entries.append(heappop(heap))
-                index = 0
-                count = len(entries)
-                while index < count:
-                    entry = entries[index]
-                    event = entry[3]
-                    if event.cancelled:
-                        # Cancelled by an earlier batch member; its live-count
-                        # adjustment already happened at cancel time.
-                        event.in_queue = False
-                        index += 1
-                        continue
-                    if self._stopped or (
-                        max_events is not None and executed_this_run >= max_events
-                    ):
-                        for tail in range(index, count):
-                            heappush(heap, entries[tail])
+        # execution are pure overhead.
+        with gc_suspended():
+            try:
+                while not self._stopped:
+                    if max_events is not None and executed_this_run >= max_events:
                         break
-                    if heap:
-                        top = heap[0]
-                        if top[0] == now and top < entry:
-                            # A callback scheduled a same-timestamp event that
-                            # sorts before the rest of this batch; requeue the
-                            # tail (original seqs keep its order) and let the
-                            # outer loop re-merge.
+                    while heap and heap[0][3].cancelled:
+                        heappop(heap)[3].in_queue = False
+                    if not heap:
+                        break
+                    now = heap[0][0]
+                    if until is not None and now > until:
+                        break
+                    self._now = now
+                    first = heappop(heap)
+                    if not heap or heap[0][0] != now:
+                        # Singleton fast path: no same-timestamp companions, so
+                        # no batch bookkeeping (the overwhelmingly common case).
+                        event = first[3]
+                        event.in_queue = False
+                        queue._live -= 1
+                        event.callback(*event.args)
+                        self._events_executed += 1
+                        executed_this_run += 1
+                        continue
+                    # Timer-coalescing fast path: pop the whole same-timestamp
+                    # batch, then execute it in (priority, seq) order.
+                    entries = [first]
+                    while heap and heap[0][0] == now:
+                        entries.append(heappop(heap))
+                    index = 0
+                    count = len(entries)
+                    while index < count:
+                        entry = entries[index]
+                        event = entry[3]
+                        if event.cancelled:
+                            # Cancelled by an earlier batch member; its live-count
+                            # adjustment already happened at cancel time.
+                            event.in_queue = False
+                            index += 1
+                            continue
+                        if self._stopped or (
+                            max_events is not None and executed_this_run >= max_events
+                        ):
                             for tail in range(index, count):
                                 heappush(heap, entries[tail])
                             break
-                    event.in_queue = False
-                    queue._live -= 1
-                    index += 1
-                    event.callback(*event.args)
-                    self._events_executed += 1
-                    executed_this_run += 1
-        finally:
-            self._running = False
-            if gc_was_enabled:
-                gc.enable()
+                        if heap:
+                            top = heap[0]
+                            if top[0] == now and top < entry:
+                                # A callback scheduled a same-timestamp event that
+                                # sorts before the rest of this batch; requeue the
+                                # tail (original seqs keep its order) and let the
+                                # outer loop re-merge.
+                                for tail in range(index, count):
+                                    heappush(heap, entries[tail])
+                                break
+                        event.in_queue = False
+                        queue._live -= 1
+                        index += 1
+                        event.callback(*event.args)
+                        self._events_executed += 1
+                        executed_this_run += 1
+            finally:
+                self._running = False
         if until is not None and not self._stopped and self._now < until:
             self._now = until
         for hook in self._stop_hooks:

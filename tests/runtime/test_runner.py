@@ -59,9 +59,10 @@ class TestSpecHash:
 
         spec = tiny_spec()
         first = spec_hash(spec)
-        # After the first hash the digest is memoised on the instance...
-        memo = getattr(spec, spec_hash_module._MEMO_ATTR)
-        assert memo[""] == first
+        # After the first hash the digest is memoised beside the spec, not
+        # on it...
+        assert spec_hash_module._memoised(spec).digests[""] == first
+        assert set(vars(spec)) == {f.name for f in dataclasses.fields(spec)}
 
         # ...and the second hash returns without re-encoding the spec.
         def _boom(*_args, **_kwargs):
@@ -77,6 +78,84 @@ class TestSpecHash:
         assert spec_hash(spec, namespace="a") == spec_hash(tiny_spec(), namespace="a")
         derived = dataclasses.replace(spec, seed=6)
         assert spec_hash(derived) != spec_hash(spec)
+
+    def test_mutable_dataclass_is_rehashed_after_a_change(self):
+        @dataclasses.dataclass
+        class Knob:
+            x: int = 1
+
+        knob = Knob()
+        first = spec_hash(knob)
+        knob.x = 2
+        assert spec_hash(knob) == spec_hash(Knob(2)) != first
+
+    def test_frozen_spec_holding_a_list_is_not_memoised(self):
+        @dataclasses.dataclass(frozen=True)
+        class Levels:
+            qps: list
+
+        levels = Levels([1.0])
+        first = spec_hash(levels)
+        levels.qps.append(2.0)
+        assert spec_hash(levels) == spec_hash(Levels([1.0, 2.0])) != first
+
+    def test_mutable_content_anywhere_below_a_frozen_spec_blocks_the_memo(self):
+        @dataclasses.dataclass
+        class Knob:
+            x: int = 1
+
+        @dataclasses.dataclass(frozen=True)
+        class Outer:
+            a: object
+            b: object = ClusterSpec()
+
+        # A mutable dataclass below, and a list encoded before an immutable
+        # frozen sibling: neither outer spec may be memoised.
+        knob, levels = Knob(), [1.0]
+        holds_knob, holds_list = Outer(knob), Outer(levels)
+        firsts = spec_hash(holds_knob), spec_hash(holds_list)
+        knob.x = 2
+        levels.append(2.0)
+        assert spec_hash(holds_knob) == spec_hash(Outer(Knob(2))) != firsts[0]
+        assert spec_hash(holds_list) == spec_hash(Outer([1.0, 2.0])) != firsts[1]
+
+    def test_shared_frozen_subspec_is_encoded_once(self):
+        reads = []
+
+        @dataclasses.dataclass(frozen=True)
+        class Counted:
+            x: float = 1.5
+
+            def __getattribute__(self, name):
+                if name == "x":
+                    reads.append(name)
+                return object.__getattribute__(self, name)
+
+        shared = Counted()
+        first = spec_hash([shared, 1])
+        assert spec_hash([shared, 2]) != first
+        assert spec_hash([shared, 1]) == first == spec_hash([Counted(), 1])
+        # The second Counted() was read once; ``shared`` only on its first use.
+        assert len(reads) == 2
+
+    def test_memo_does_not_ride_along_in_pickles(self):
+        import pickle
+
+        from repro.fleet.model import ModeCalibration
+
+        calibration = ModeCalibration(
+            qps=(1.0, 2.0),
+            quantiles=((0.1, 0.2), (0.3, 0.4)),
+            busy_cpu=(0.5, 0.6),
+            secondary_cpu=(0.0, 0.1),
+            progress_per_s=(0.0, 1.0),
+        )
+        before = pickle.dumps(calibration)
+        # The runner hashes shard tasks as a sub-spec of its payload list;
+        # other callers hash a spec as the root, which memoises its digest.
+        spec_hash(["module", "fn", [calibration]])
+        spec_hash(calibration)
+        assert pickle.dumps(calibration) == before
 
     def test_numpy_scalars_hash_like_python_equivalents(self):
         """Specs built from numpy-driven sweeps must hit the same cache keys."""

@@ -114,6 +114,27 @@ class TestRunControl:
         engine.run()
         assert calls == ["hook"]
 
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_gc_is_suspended_while_running_and_restored(self, engine, enabled):
+        import gc
+
+        was_enabled = gc.isenabled()
+        seen = []
+        engine.schedule(0.1, lambda: seen.append(gc.isenabled()))
+        try:
+            if enabled:
+                gc.enable()
+            else:
+                gc.disable()
+            engine.run()
+            assert seen == [False]
+            assert gc.isenabled() is enabled
+        finally:
+            if was_enabled:
+                gc.enable()
+            else:
+                gc.disable()
+
 
 class TestCancellation:
     def test_cancelled_event_does_not_fire(self, engine):
