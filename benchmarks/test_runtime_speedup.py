@@ -97,14 +97,6 @@ def test_runtime_speedup_and_cache():
         "calibration_cached_s": round(warm_calibration_seconds, 4),
         "cache_entries": len(cache),
     }
-    if cores == 1:
-        # A ~1.0x "parallel" speedup on a single-core runner is expected, not
-        # a runtime defect — say so in the record instead of letting the
-        # number mislead.
-        record["parallelism_limited_by_cpu_count"] = (
-            "cpu_count is 1: the parallel run degenerates to the serial path, "
-            "so speedup_parallel_cold carries no signal on this machine"
-        )
     from repro.reporting.bench import merge_bench_record
 
     record = merge_bench_record(_BENCH_PATH, record)

@@ -660,8 +660,19 @@ class PerfIsoSpec:
             raise ConfigError(
                 f"cpu_policy must be one of {self.VALID_POLICIES}, got {self.cpu_policy!r}"
             )
+        if self.cpu_policy != "none" and self.policy_spec is None:
+            raise ConfigError(f"cpu_policy {self.cpu_policy!r} needs its {self.cpu_policy} spec")
         if self.poll_interval <= 0:
             raise ConfigError("poll_interval must be positive")
+
+    @property
+    def policy_spec(self):
+        """The sub-spec that configures the selected CPU policy.
+
+        Each policy reads the field named after it; ``'none'`` reads nothing,
+        so this is ``None`` for it.
+        """
+        return None if self.cpu_policy == "none" else getattr(self, self.cpu_policy)
 
 
 # --------------------------------------------------------------------------- workload

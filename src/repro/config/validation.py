@@ -93,7 +93,7 @@ def validate_experiment(spec: ExperimentSpec) -> None:
                     f"exceeds machine core count ({cores})"
                 )
         if perfiso.cpu_policy in ("pid", "utilization"):
-            sub = perfiso.pid if perfiso.cpu_policy == "pid" else perfiso.utilization
+            sub = perfiso.policy_spec
             if sub.reserve_cores >= cores:
                 raise ConfigError(
                     f"{perfiso.cpu_policy} reserve_cores ({sub.reserve_cores}) must be "
@@ -105,7 +105,7 @@ def validate_experiment(spec: ExperimentSpec) -> None:
                     "remaining after the reserve"
                 )
         if perfiso.cpu_policy in ("mpc", "oracle"):
-            sub = perfiso.mpc if perfiso.cpu_policy == "mpc" else perfiso.oracle
+            sub = perfiso.policy_spec
             if sub.headroom_cores >= cores:
                 raise ConfigError(
                     f"{perfiso.cpu_policy} headroom_cores ({sub.headroom_cores}) must be "

@@ -58,7 +58,6 @@ __all__ = [
     "ModelPredictivePolicy",
     "UtilizationTargetPolicy",
     "OraclePolicy",
-    "build_policy",
     "policy_from_spec",
     "policy_class",
 ]
@@ -483,47 +482,12 @@ def policy_class(cpu_policy: str) -> Type[CpuIsolationPolicy]:
         raise IsolationError(f"unknown cpu policy {cpu_policy!r}") from None
 
 
-def build_policy(
-    cpu_policy: str,
-    blind: Optional[BlindIsolationSpec] = None,
-    static_cores: Optional[StaticCoreSpec] = None,
-    cpu_cycles: Optional[CpuCycleSpec] = None,
-    pid: Optional[PidControlSpec] = None,
-    mpc: Optional[MpcControlSpec] = None,
-    utilization: Optional[UtilizationTargetSpec] = None,
-    oracle: Optional[OracleControlSpec] = None,
-) -> CpuIsolationPolicy:
-    """Construct the policy named by ``cpu_policy`` from its spec."""
-    if cpu_policy == "blind":
-        return BlindIsolationPolicy(blind if blind is not None else BlindIsolationSpec())
-    if cpu_policy == "static_cores":
-        return StaticCoresPolicy(static_cores if static_cores is not None else StaticCoreSpec())
-    if cpu_policy == "cpu_cycles":
-        return CpuCyclesPolicy(cpu_cycles if cpu_cycles is not None else CpuCycleSpec())
-    if cpu_policy == "none":
-        return NoIsolationPolicy()
-    if cpu_policy == "pid":
-        return PidPolicy(pid if pid is not None else PidControlSpec())
-    if cpu_policy == "mpc":
-        return ModelPredictivePolicy(mpc if mpc is not None else MpcControlSpec())
-    if cpu_policy == "utilization":
-        return UtilizationTargetPolicy(
-            utilization if utilization is not None else UtilizationTargetSpec()
-        )
-    if cpu_policy == "oracle":
-        return OraclePolicy(oracle if oracle is not None else OracleControlSpec())
-    raise IsolationError(f"unknown cpu policy {cpu_policy!r}")
-
-
 def policy_from_spec(spec) -> CpuIsolationPolicy:
-    """Build the configured policy from a :class:`~repro.config.schema.PerfIsoSpec`."""
-    return build_policy(
-        spec.cpu_policy,
-        blind=spec.blind,
-        static_cores=spec.static_cores,
-        cpu_cycles=spec.cpu_cycles,
-        pid=spec.pid,
-        mpc=spec.mpc,
-        utilization=spec.utilization,
-        oracle=spec.oracle,
-    )
+    """Build the configured policy from a :class:`~repro.config.schema.PerfIsoSpec`.
+
+    The policy gets the sub-spec :attr:`~repro.config.schema.PerfIsoSpec.policy_spec`
+    selects; ``none`` takes none.
+    """
+    cls = policy_class(spec.cpu_policy)
+    sub = spec.policy_spec
+    return cls() if sub is None else cls(sub)

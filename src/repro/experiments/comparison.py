@@ -78,15 +78,20 @@ class IsolationComparison:
 
     APPROACHES = ("standalone", "no_isolation", "blind_isolation", "cpu_cores", "cpu_cycles")
 
+    #: Each colocated approach is one ``policy-showdown`` variant.
+    _SHOWDOWN_POLICY = {
+        "no_isolation": "none",
+        "blind_isolation": "blind",
+        "cpu_cores": "static_cores",
+        "cpu_cycles": "cpu_cycles",
+    }
+
     def __init__(
         self,
         qps: float = scenarios.AVERAGE_LOAD_QPS,
         duration: float = 5.0,
         warmup: float = 1.0,
         seed: int = 1,
-        buffer_cores: int = 8,
-        static_secondary_cores: int = 8,
-        cycle_fraction: float = 0.05,
         bully_threads: int = scenarios.HIGH_BULLY_THREADS,
         runner=None,
     ) -> None:
@@ -95,9 +100,6 @@ class IsolationComparison:
         self._duration = duration
         self._warmup = warmup
         self._seed = seed
-        self._buffer_cores = buffer_cores
-        self._static_cores = static_secondary_cores
-        self._cycle_fraction = cycle_fraction
         self._bully_threads = bully_threads
         self.results: Dict[str, SingleMachineResult] = {}
 
@@ -107,15 +109,9 @@ class IsolationComparison:
         )
         if approach == "standalone":
             return scenarios.standalone(**common)
-        if approach == "no_isolation":
-            return scenarios.no_isolation(self._bully_threads, **common)
-        if approach == "blind_isolation":
-            return scenarios.blind_isolation(self._buffer_cores, self._bully_threads, **common)
-        if approach == "cpu_cores":
-            return scenarios.static_cores(self._static_cores, self._bully_threads, **common)
-        if approach == "cpu_cycles":
-            return scenarios.cpu_cycles(self._cycle_fraction, self._bully_threads, **common)
-        raise KeyError(f"unknown approach {approach!r}")
+        return scenarios.policy_showdown(
+            self._SHOWDOWN_POLICY[approach], self._bully_threads, **common
+        )
 
     def run(self, approaches: Optional[List[str]] = None) -> ComparisonResult:
         """Run the selected approaches (all of Figure 8 by default).

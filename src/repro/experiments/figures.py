@@ -309,21 +309,11 @@ def fig8_comparison(
     duration: float = 5.0,
     warmup: float = 1.0,
     seed: int = 1,
-    buffer_cores: int = 8,
-    static_secondary_cores: int = 8,
-    cycle_fraction: float = 0.05,
     runner=None,
 ) -> FigureResult:
     """Figure 8: P99 latency, idle CPU and secondary progress per approach."""
     comparison = IsolationComparison(
-        qps=qps,
-        duration=duration,
-        warmup=warmup,
-        seed=seed,
-        buffer_cores=buffer_cores,
-        static_secondary_cores=static_secondary_cores,
-        cycle_fraction=cycle_fraction,
-        runner=runner,
+        qps=qps, duration=duration, warmup=warmup, seed=seed, runner=runner
     )
     result = comparison.run()
     figure = FigureResult(

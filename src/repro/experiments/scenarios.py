@@ -90,7 +90,6 @@ __all__ = [
     "replayed_trace_standalone",
     "bursty_replay_trace",
     "diurnal_replay_trace",
-    "CONTROLLER_POLICIES",
     "SHOWDOWN_WORKLOADS",
     "controller_showdown",
     "chaos_controller_crash",
@@ -128,14 +127,6 @@ def base_spec(
     )
 
 
-def _with_workload(spec: ExperimentSpec, qps: float, duration: float, warmup: float, seed: int) -> ExperimentSpec:
-    return dataclasses.replace(
-        spec,
-        workload=WorkloadSpec(qps=qps, duration=duration, warmup=warmup),
-        seed=seed,
-    )
-
-
 def _blind_perfiso(buffer_cores: int = 8, io_throttle: Optional[IoThrottleSpec] = None) -> PerfIsoSpec:
     kwargs = {"io_throttle": io_throttle} if io_throttle is not None else {}
     return PerfIsoSpec(
@@ -143,6 +134,11 @@ def _blind_perfiso(buffer_cores: int = 8, io_throttle: Optional[IoThrottleSpec] 
         blind=BlindIsolationSpec(buffer_cores=buffer_cores),
         **kwargs,
     )
+
+
+def _policy_perfiso(policy: str, **sub_specs) -> Optional[PerfIsoSpec]:
+    """PerfIso running the CPU policy ``policy``; no PerfIso at all for ``"none"``."""
+    return None if policy == "none" else PerfIsoSpec(cpu_policy=policy, **sub_specs)
 
 
 # ------------------------------------------------------------------ paper core
@@ -319,9 +315,8 @@ def policy_showdown(
 ) -> ExperimentSpec:
     """One spec per isolation policy, all else equal (the Figure 8 matchup)."""
     spec = base_spec(qps=qps, duration=duration, warmup=warmup, seed=seed)
-    perfiso = None if policy == "none" else PerfIsoSpec(cpu_policy=policy)
     return dataclasses.replace(
-        spec, cpu_bully=CpuBullySpec(threads=bully_threads), perfiso=perfiso
+        spec, cpu_bully=CpuBullySpec(threads=bully_threads), perfiso=_policy_perfiso(policy)
     )
 
 
@@ -591,6 +586,49 @@ def _scaled_bursty(base_qps: float, burst_qps: float, total_time: float) -> Burs
     )
 
 
+def _shaped_workload(
+    shape: str,
+    base_qps: float,
+    peak_qps: float,
+    duration: float,
+    warmup: float,
+    phase_offset: float = 0.0,
+) -> WorkloadSpec:
+    """A time-varying workload swinging between ``base_qps`` and ``peak_qps``.
+
+    ``shape`` is one of :data:`SHOWDOWN_WORKLOADS` and names the
+    :class:`WorkloadSpec` field it sets.  Every shape scales with the window
+    (``warmup + duration``), so short golden/CI runs see the whole shape:
+    one full diurnal period (``phase_offset`` shifts it), ~4 MMPP bursts, a
+    flash crowd at 30% of the measured window, or the bursty replay trace.
+    """
+    total = warmup + duration
+    qps = base_qps
+    if shape == "diurnal":
+        qps = (peak_qps + base_qps) / 2.0
+        model = DiurnalSpec(
+            peak_qps=peak_qps, trough_qps=base_qps, period=total, phase_offset=phase_offset
+        )
+    elif shape == "bursty":
+        model = _scaled_bursty(base_qps, peak_qps, total)
+    elif shape == "flash_crowd":
+        model = FlashCrowdSpec(
+            base_qps=base_qps,
+            spike_qps=peak_qps,
+            start=warmup + 0.3 * duration,
+            ramp=0.05 * total,
+            hold=0.2 * total,
+            decay=0.1 * total,
+        )
+    elif shape == "trace":
+        model = bursty_replay_trace(base_qps, peak_qps, total_time=total)
+    else:
+        raise ConfigError(
+            f"unknown showdown workload {shape!r}; expected one of {SHOWDOWN_WORKLOADS}"
+        )
+    return WorkloadSpec(qps=qps, duration=duration, warmup=warmup, **{shape: model})
+
+
 def diurnal_replay_trace(
     peak_qps: float,
     trough_qps: float,
@@ -620,20 +658,10 @@ def diurnal_cycle(
     seed: int = 1,
 ) -> ExperimentSpec:
     """One whole trough-to-peak cycle in a single run (period == the run)."""
-    total = warmup + duration
-    workload = WorkloadSpec(
-        qps=(peak_qps + trough_qps) / 2.0,
-        duration=duration,
-        warmup=warmup,
-        diurnal=DiurnalSpec(
-            peak_qps=peak_qps,
-            trough_qps=trough_qps,
-            period=total,
-            phase_offset=phase_offset,
-        ),
-    )
     return ExperimentSpec(
-        workload=workload,
+        workload=_shaped_workload(
+            "diurnal", trough_qps, peak_qps, duration, warmup, phase_offset
+        ),
         seed=seed,
         cpu_bully=CpuBullySpec(threads=HIGH_BULLY_THREADS),
         perfiso=_blind_perfiso(buffer_cores),
@@ -694,22 +722,8 @@ def flash_crowd_blind_isolation(
     seed: int = 1,
 ) -> ExperimentSpec:
     """Base load, then a mid-run ramp/hold/decay spike, bully colocated."""
-    total = warmup + duration
-    workload = WorkloadSpec(
-        qps=base_qps,
-        duration=duration,
-        warmup=warmup,
-        flash_crowd=FlashCrowdSpec(
-            base_qps=base_qps,
-            spike_qps=spike_qps,
-            start=warmup + 0.3 * duration,
-            ramp=0.05 * total,
-            hold=0.2 * total,
-            decay=0.1 * total,
-        ),
-    )
     return ExperimentSpec(
-        workload=workload,
+        workload=_shaped_workload("flash_crowd", base_qps, spike_qps, duration, warmup),
         seed=seed,
         cpu_bully=CpuBullySpec(threads=HIGH_BULLY_THREADS),
         perfiso=_blind_perfiso(buffer_cores),
@@ -754,14 +768,8 @@ def bursty_blind_isolation(
     seed: int = 1,
 ) -> ExperimentSpec:
     """MMPP arrivals: calm stretches punctuated by seconds-long bursts."""
-    workload = WorkloadSpec(
-        qps=base_qps,
-        duration=duration,
-        warmup=warmup,
-        bursty=_scaled_bursty(base_qps, burst_qps, warmup + duration),
-    )
     return ExperimentSpec(
-        workload=workload,
+        workload=_shaped_workload("bursty", base_qps, burst_qps, duration, warmup),
         seed=seed,
         cpu_bully=CpuBullySpec(threads=HIGH_BULLY_THREADS),
         perfiso=_blind_perfiso(buffer_cores),
@@ -807,18 +815,11 @@ def replayed_trace_showdown(
     seed: int = 1,
 ) -> ExperimentSpec:
     """Figure 8 rerun on recorded traffic: same trace file, four policies."""
-    workload = WorkloadSpec(
-        qps=base_qps,
-        duration=duration,
-        warmup=warmup,
-        trace=bursty_replay_trace(base_qps, burst_qps, total_time=warmup + duration),
-    )
-    perfiso = None if policy == "none" else PerfIsoSpec(cpu_policy=policy)
     return ExperimentSpec(
-        workload=workload,
+        workload=_shaped_workload("trace", base_qps, burst_qps, duration, warmup),
         seed=seed,
         cpu_bully=CpuBullySpec(threads=bully_threads),
-        perfiso=perfiso,
+        perfiso=_policy_perfiso(policy),
     )
 
 
@@ -845,18 +846,6 @@ def replayed_trace_standalone(
 
 
 # ------------------------------------------------------- controller showdown
-#: Every registered CPU policy, legacy and challenger, in showdown order.
-CONTROLLER_POLICIES = (
-    "blind",
-    "static_cores",
-    "cpu_cycles",
-    "none",
-    "pid",
-    "mpc",
-    "utilization",
-    "oracle",
-)
-
 #: The PR-5 trace-driven workload shapes the controllers are raced across.
 SHOWDOWN_WORKLOADS = ("diurnal", "bursty", "flash_crowd", "trace")
 
@@ -864,7 +853,7 @@ SHOWDOWN_WORKLOADS = ("diurnal", "bursty", "flash_crowd", "trace")
 @matrix.scenario(
     "controller-showdown",
     "Every dynamic CPU controller raced across the trace-driven workloads",
-    axes={"policy": CONTROLLER_POLICIES, "workload": SHOWDOWN_WORKLOADS},
+    axes={"policy": PerfIsoSpec.VALID_POLICIES, "workload": SHOWDOWN_WORKLOADS},
     tags=("comparison", "trace-driven", "controller"),
     tier="slow",
 )
@@ -887,59 +876,11 @@ def controller_showdown(
     alone.  ``slo_ms`` feeds both the PID controller's set point and the
     showdown harness's pass/fail column.
     """
-    total = warmup + duration
-    if workload == "diurnal":
-        workload_spec = WorkloadSpec(
-            qps=(peak_qps + base_qps) / 2.0,
-            duration=duration,
-            warmup=warmup,
-            diurnal=DiurnalSpec(peak_qps=peak_qps, trough_qps=base_qps, period=total),
-        )
-    elif workload == "bursty":
-        workload_spec = WorkloadSpec(
-            qps=base_qps,
-            duration=duration,
-            warmup=warmup,
-            bursty=_scaled_bursty(base_qps, peak_qps, total),
-        )
-    elif workload == "flash_crowd":
-        workload_spec = WorkloadSpec(
-            qps=base_qps,
-            duration=duration,
-            warmup=warmup,
-            flash_crowd=FlashCrowdSpec(
-                base_qps=base_qps,
-                spike_qps=peak_qps,
-                start=warmup + 0.3 * duration,
-                ramp=0.05 * total,
-                hold=0.2 * total,
-                decay=0.1 * total,
-            ),
-        )
-    elif workload == "trace":
-        workload_spec = WorkloadSpec(
-            qps=base_qps,
-            duration=duration,
-            warmup=warmup,
-            trace=bursty_replay_trace(base_qps, peak_qps, total_time=total),
-        )
-    else:
-        raise ConfigError(
-            f"unknown showdown workload {workload!r}; expected one of {SHOWDOWN_WORKLOADS}"
-        )
-    perfiso = (
-        None
-        if policy == "none"
-        else PerfIsoSpec(
-            cpu_policy=policy,
-            pid=PidControlSpec(slo_p99=slo_ms / 1000.0),
-        )
-    )
     return ExperimentSpec(
-        workload=workload_spec,
+        workload=_shaped_workload(workload, base_qps, peak_qps, duration, warmup),
         seed=seed,
         cpu_bully=CpuBullySpec(threads=bully_threads),
-        perfiso=perfiso,
+        perfiso=_policy_perfiso(policy, pid=PidControlSpec(slo_p99=slo_ms / 1000.0)),
     )
 
 

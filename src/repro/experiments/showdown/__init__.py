@@ -30,13 +30,14 @@ from ...config.schema import (
     ControllerCrashSpec,
     DegradedCoreSpec,
     FaultPlanSpec,
+    PerfIsoSpec,
     TelemetryFaultSpec,
 )
 from ...errors import ConfigError
 from ...reporting.rows import rows_to_csv, rows_to_jsonl
 from ...runtime import ExperimentRunner, ExperimentTask, spec_hash
 from ..reporting import format_table
-from ..scenarios import CONTROLLER_POLICIES, SHOWDOWN_WORKLOADS, controller_showdown
+from ..scenarios import SHOWDOWN_WORKLOADS, controller_showdown
 
 __all__ = ["ShowdownResult", "default_chaos_plan", "run_showdown", "main"]
 
@@ -106,7 +107,7 @@ def default_chaos_plan(duration: float = 10.0, warmup: float = 1.0) -> FaultPlan
 
 
 def run_showdown(
-    controllers: Sequence[str] = CONTROLLER_POLICIES,
+    controllers: Sequence[str] = PerfIsoSpec.VALID_POLICIES,
     workloads: Sequence[str] = SHOWDOWN_WORKLOADS,
     duration: float = 10.0,
     warmup: float = 1.0,
@@ -141,9 +142,9 @@ def run_showdown(
     if not workloads:
         raise ConfigError("showdown needs at least one workload")
     for name in controllers:
-        if name not in CONTROLLER_POLICIES:
+        if name not in PerfIsoSpec.VALID_POLICIES:
             raise ConfigError(
-                f"unknown controller {name!r}; expected one of {CONTROLLER_POLICIES}"
+                f"unknown controller {name!r}; expected one of {PerfIsoSpec.VALID_POLICIES}"
             )
     for name in workloads:
         if name not in SHOWDOWN_WORKLOADS:
@@ -314,10 +315,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         prog="python -m repro.experiments.showdown",
         description="Race every CPU controller across trace-driven workloads.",
     )
+    policies = ",".join(PerfIsoSpec.VALID_POLICIES)
     parser.add_argument(
         "--controllers",
-        default=",".join(CONTROLLER_POLICIES),
-        help=f"comma-separated controllers (default: all of {','.join(CONTROLLER_POLICIES)})",
+        default=policies,
+        help=f"comma-separated controllers (default: all of {policies})",
     )
     parser.add_argument(
         "--workloads",

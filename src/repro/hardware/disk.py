@@ -132,10 +132,6 @@ class DiskDevice:
         """Requests waiting (not yet in service)."""
         return len(self._queue)
 
-    @property
-    def in_service(self) -> int:
-        return self._in_service
-
     def service_time(self, size_bytes: int) -> float:
         """Deterministic part of the service time for a chunk of this size."""
         return self._spec.base_latency + size_bytes / self._spec.bandwidth_bytes_per_s

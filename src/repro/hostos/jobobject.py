@@ -69,10 +69,6 @@ class JobObject:
     def cpu_rate_fraction(self) -> Optional[float]:
         return self._cpu_rate_fraction
 
-    @property
-    def memory_limit_bytes(self) -> Optional[int]:
-        return self._memory_limit_bytes
-
     def set_cpu_affinity(self, cores: Optional[FrozenSet[int]]) -> None:
         """Restrict member threads to ``cores`` (``None`` removes the limit).
 

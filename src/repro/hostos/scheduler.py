@@ -129,10 +129,6 @@ class Scheduler:
         self.smt_shared_dispatches = 0
 
     # ----------------------------------------------------------------- hooks
-    def set_io_submit(self, io_submit: IoSubmit) -> None:
-        """Install the I/O submission hook (done by the kernel facade)."""
-        self._io_submit = io_submit
-
     def set_speed_factor(self, factor: Optional[float]) -> None:
         """Set (or clear, with ``None``) the machine-wide dispatch-rate factor.
 
@@ -163,10 +159,6 @@ class Scheduler:
 
     def idle_core_mask(self) -> int:
         return self._idle_mask
-
-    def running_thread_on(self, core_id: int) -> Optional[SimThread]:
-        self._check_core(core_id)
-        return self._core_thread[core_id]
 
     def ready_queue_length(self) -> int:
         """Total number of runnable-but-waiting threads."""
@@ -222,10 +214,6 @@ class Scheduler:
         self._fill_idle_cores()
 
     # ------------------------------------------------------------- internals
-    def _check_core(self, core_id: int) -> None:
-        if not 0 <= core_id < len(self._core_thread):
-            raise SchedulerError(f"core id {core_id} out of range")
-
     # ----------------------------------------------------------- ready queues
     def _make_ready(self, thread: SimThread) -> None:
         thread.state = ThreadState.READY

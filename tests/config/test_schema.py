@@ -127,6 +127,19 @@ class TestPerfIsoSpecs:
         with pytest.raises(ConfigError):
             PerfIsoSpec(cpu_policy="magic")
 
+    @pytest.mark.parametrize("policy", [p for p in PerfIsoSpec.VALID_POLICIES if p != "none"])
+    def test_policy_needs_its_own_spec(self, policy):
+        with pytest.raises(ConfigError):
+            PerfIsoSpec(cpu_policy=policy, **{policy: None})
+        # Only the running policy's field is required.
+        PerfIsoSpec(cpu_policy="none", **{policy: None})
+
+    @pytest.mark.parametrize("policy", PerfIsoSpec.VALID_POLICIES)
+    def test_policy_spec_is_the_field_named_after_the_policy(self, policy):
+        spec = PerfIsoSpec(cpu_policy=policy)
+        expected = None if policy == "none" else getattr(spec, policy)
+        assert spec.policy_spec is expected
+
     def test_blind_buffer_non_negative(self):
         with pytest.raises(ConfigError):
             BlindIsolationSpec(buffer_cores=-1)

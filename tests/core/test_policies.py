@@ -2,14 +2,29 @@
 
 import pytest
 
-from repro.config.schema import BlindIsolationSpec, CpuCycleSpec, StaticCoreSpec
+from repro.config.schema import (
+    BlindIsolationSpec,
+    CpuCycleSpec,
+    MpcControlSpec,
+    OracleControlSpec,
+    PerfIsoSpec,
+    PidControlSpec,
+    StaticCoreSpec,
+    UtilizationTargetSpec,
+)
 from repro.core.policies import (
+    _POLICY_CLASSES,
     AllocationDecision,
     BlindIsolationPolicy,
     CpuCyclesPolicy,
+    ModelPredictivePolicy,
     NoIsolationPolicy,
+    OraclePolicy,
+    PidPolicy,
     StaticCoresPolicy,
-    build_policy,
+    UtilizationTargetPolicy,
+    policy_class,
+    policy_from_spec,
 )
 from repro.errors import IsolationError
 
@@ -103,19 +118,36 @@ class TestStaticAndCyclePolicies:
         assert policy.poll_decision(48, 0, None) is None
 
 
+#: Each policy's class and a non-default sub-spec for the ``PerfIsoSpec``
+#: field named after it (``none`` takes no sub-spec).
+POLICIES = {
+    "blind": (BlindIsolationPolicy, BlindIsolationSpec(buffer_cores=5)),
+    "static_cores": (StaticCoresPolicy, StaticCoreSpec(secondary_cores=12)),
+    "cpu_cycles": (CpuCyclesPolicy, CpuCycleSpec(cpu_fraction=0.3)),
+    "none": (NoIsolationPolicy, None),
+    "pid": (PidPolicy, PidControlSpec(kp=2.5)),
+    "mpc": (ModelPredictivePolicy, MpcControlSpec(headroom_cores=5)),
+    "utilization": (UtilizationTargetPolicy, UtilizationTargetSpec(target_utilization=0.6)),
+    "oracle": (OraclePolicy, OracleControlSpec(lookahead=0.5)),
+}
+
+
 class TestBuildPolicy:
     @pytest.mark.parametrize(
         "name,expected",
-        [
-            ("blind", BlindIsolationPolicy),
-            ("static_cores", StaticCoresPolicy),
-            ("cpu_cycles", CpuCyclesPolicy),
-            ("none", NoIsolationPolicy),
-        ],
+        [(name, POLICIES[name][0]) for name in PerfIsoSpec.VALID_POLICIES],
     )
     def test_known_policies(self, name, expected):
-        assert isinstance(build_policy(name), expected)
+        sub_spec = POLICIES[name][1]
+        fields = {} if sub_spec is None else {name: sub_spec}
+        policy = policy_from_spec(PerfIsoSpec(cpu_policy=name, **fields))
+        assert type(policy) is expected
+        if sub_spec is not None:
+            assert policy._spec is sub_spec
+
+    def test_table_covers_every_valid_policy(self):
+        assert set(_POLICY_CLASSES) == set(PerfIsoSpec.VALID_POLICIES) == set(POLICIES)
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(IsolationError):
-            build_policy("quantum")
+            policy_class("quantum")
